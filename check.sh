@@ -6,10 +6,12 @@
 #   ./check.sh chaos   # fault-injection / cancellation stress, -race, repeated
 #   ./check.sh service # sluserver chaos suite under -race + live HTTP smoke
 #   ./check.sh bench   # paperbench small suite + regression compare
+#   ./check.sh perfbench # vet + tests of the perfbench/ benchmark module
 #   ./check.sh [all]   # everything above (the default)
 #
 # The bench stage runs the dense-kernel benchmarks (both kernel modes:
-# the bitwise Dgemm and the relaxed DgemmFast) into
+# the bitwise Dgemm and the relaxed DgemmFast, plus the small-path
+# shapes of BenchmarkDgemmSmall) into
 # bench-out/kernel-bench.txt, writes bench-out/BENCH_small.json (suite
 # wall times in both kernel modes + kernel GFLOPS, including the
 # _fastmath entries) plus a Chrome trace and the analyze-time tile
@@ -132,7 +134,7 @@ service_stage() {
 bench() {
 	echo "==> kernel benchmarks, both kernel modes (output kept as CI artifact)"
 	mkdir -p bench-out
-	go test -run '^$' -bench 'BenchmarkDgemm$|BenchmarkDgemmFast$|BenchmarkDtrsm$|BenchmarkDgetrfStatic$' \
+	go test -run '^$' -bench 'BenchmarkDgemm$|BenchmarkDgemmFast$|BenchmarkDgemmSmall$|BenchmarkDtrsm$|BenchmarkDgetrfStatic$' \
 		-benchtime "${SPARSELU_KERNEL_BENCHTIME:-300ms}" \
 		./internal/blas/ | tee bench-out/kernel-bench.txt
 
@@ -152,21 +154,31 @@ bench() {
 		-tolerance "${SPARSELU_BENCH_TOL:-0.25}"
 }
 
+perfbench_stage() {
+	# perfbench/ is a Go module of its own (it builds the solver from
+	# this checkout through a replace directive), so the root
+	# `go vet ./...` and `go test ./...` do not reach it.
+	echo "==> perfbench module (go vet, go test)"
+	(cd perfbench && go vet ./... && go test ./...)
+}
+
 case "$stage" in
 lint) lint ;;
 test) test_stage ;;
 chaos) chaos ;;
 service) service_stage ;;
 bench) bench ;;
+perfbench) perfbench_stage ;;
 all)
 	lint
 	test_stage
 	chaos
 	service_stage
+	perfbench_stage
 	bench
 	;;
 *)
-	echo "check.sh: unknown stage '$stage' (want lint, test, chaos, service, bench or all)" >&2
+	echo "check.sh: unknown stage '$stage' (want lint, test, chaos, service, perfbench, bench or all)" >&2
 	exit 2
 	;;
 esac

@@ -405,7 +405,8 @@ func (f *Factorization) PerturbedColumns() []int { return f.f.PerturbedColumns()
 func (f *Factorization) PivotThreshold() float64 { return f.f.PivotThreshold() }
 
 // Residual returns the scaled backward error ‖A·x − b‖∞ / (‖A‖∞‖x‖∞ +
-// ‖b‖∞).
+// ‖b‖∞). It is NaN when x, b or the residual holds a NaN, so a
+// poisoned solution never passes a tolerance check.
 func Residual(m *Matrix, x, b []float64) float64 {
 	return core.Residual(m.a, x, b)
 }

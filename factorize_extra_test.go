@@ -93,3 +93,32 @@ func TestPublicLogDetAndGrowth(t *testing.T) {
 		t.Fatalf("growth of diagonal matrix = %g, want 1", g)
 	}
 }
+
+// TestResidualNaN pins the public backward error's NaN contract: a NaN
+// in the solution or the right-hand side yields NaN, never a small
+// number that passes a tolerance check, and SolveRefined reports it.
+func TestResidualNaN(t *testing.T) {
+	b := NewBuilder(3)
+	b.Add(0, 0, 2)
+	b.Add(1, 1, 2)
+	b.Add(2, 2, 2)
+	m, _ := b.Build()
+	nan := math.NaN()
+	if r := Residual(m, []float64{1, nan, 1}, []float64{2, 2, 2}); !math.IsNaN(r) {
+		t.Fatalf("Residual with NaN in x = %g, want NaN", r)
+	}
+	if r := Residual(m, []float64{1, 1, 1}, []float64{2, nan, 2}); !math.IsNaN(r) {
+		t.Fatalf("Residual with NaN in b = %g, want NaN", r)
+	}
+	f, err := Factorize(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, berr, _, err := f.SolveRefined([]float64{2, nan, 2}, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(berr) {
+		t.Fatalf("SolveRefined of a NaN right-hand side reports backward error %g, want NaN", berr)
+	}
+}

@@ -145,3 +145,28 @@ func BenchmarkDgemmFast(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkDgemmSmall(b *testing.B) {
+	// The flop-dominant shapes of the suite's small path: updates from
+	// narrow source panels, k = 1–3 or a few more, with about half of A
+	// exactly zero (explicit zeros of the amalgamated panels).
+	rng := rand.New(rand.NewSource(8))
+	for _, shape := range [][3]int{{30, 30, 1}, {30, 30, 2}, {30, 30, 3}, {28, 11, 8}, {31, 2, 2}} {
+		m, n, k := shape[0], shape[1], shape[2]
+		a := randMat(m, k, rng)
+		for i := range a {
+			if rng.Intn(2) == 0 {
+				a[i] = 0
+			}
+		}
+		bb := randMat(k, n, rng)
+		c := randMat(m, n, rng)
+		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Dgemm(m, n, k, -1, a, k, bb, n, 1, c, n)
+			}
+			flops := 2 * float64(m) * float64(n) * float64(k)
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mflop/s")
+		})
+	}
+}

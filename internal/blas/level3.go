@@ -4,21 +4,22 @@ package blas
 // B is k×n (ldb), C is m×n (ldc). Only the non-transposed case is
 // provided; the factorization arranges its operands so that suffices.
 //
-// Two code paths produce bitwise-identical results: a scalar i-k-j AXPY
-// kernel for small operands and a packed, register-tiled kernel
-// (pack.go / microkernel.go) for everything else. Both accumulate each
-// C element's contributions one k at a time in ascending k and skip a
-// contribution exactly when α·A[i,p] == 0, so the floating-point
-// operation sequence per element — and therefore the rounding — is
-// identical no matter which path runs.
+// Two code paths produce bitwise-identical results: a row-AXPY kernel
+// for small operands and the fringe of large ones, and a packed,
+// register-tiled kernel (pack.go / microkernel.go) for the full 4×8
+// tiles of everything else. Both accumulate each C element's
+// contributions one k at a time in ascending k and skip a contribution
+// exactly when α·A[i,p] == 0, so the floating-point operation sequence
+// per element — and therefore the rounding — is identical no matter
+// which path runs.
 func Dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	dgemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, false)
 }
 
 // dgemm is the shared driver behind Dgemm and DgemmFast. fast selects
-// the FastMath micro-kernels on the packed path; the beta pass, the
-// dispatch heuristic, and the scalar small-operand kernel are common to
-// both modes.
+// the FastMath micro-kernels on the packed interior; the beta pass, the
+// dispatch heuristic, and the row-AXPY kernel of the small path and the
+// fringe are common to both modes.
 func dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, fast bool) {
 	if beta != 1 {
 		for i := 0; i < m; i++ {
@@ -38,16 +39,29 @@ func dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb in
 		return
 	}
 	if m >= gemmMR && n >= gemmNR && m*n*k >= packedGemmCutoff {
-		gemmPacked(m, n, k, alpha, a, lda, b, ldb, c, ldc, fast)
+		// The packed kernel takes the interior of whole 4×8 tiles; the
+		// right column strip and the bottom row strip go through the
+		// row-AXPY kernel on the unpacked operands. Each C element is
+		// produced by exactly one of the three calls, all k terms in
+		// ascending k, so the split is invisible in the result.
+		mi, ni := m&^(gemmMR-1), n&^(gemmNR-1)
+		gemmPacked(mi, ni, k, alpha, a, lda, b, ldb, c, ldc, fast)
+		if ni < n {
+			gemmSmall(mi, n-ni, k, alpha, a, lda, b[ni:], ldb, c[ni:], ldc)
+		}
+		if mi < m {
+			gemmSmall(m-mi, n, k, alpha, a[mi*lda:], lda, b, ldb, c[mi*ldc:], ldc)
+		}
 		return
 	}
 	gemmSmall(m, n, k, alpha, a, lda, b, ldb, c, ldc)
 }
 
-// gemmSmall is the seed scalar kernel: i-k-j loop order with k/m
-// blocking so the inner loop is a contiguous AXPY over a row of B.
-// It handles the operands too small to amortize packing.
-func gemmSmall(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+// gemmSmallGo is the seed scalar kernel: i-k-j loop order with k/m
+// blocking so the inner loop is a contiguous AXPY over a row of B. It
+// is the portable small-path kernel and the reference the assembly
+// row-AXPY kernel reproduces bit for bit.
+func gemmSmallGo(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for kb := 0; kb < k; kb += gemmKC {
 		kEnd := kb + gemmKC
 		if kEnd > k {
@@ -79,12 +93,14 @@ func gemmSmall(m, n, k int, alpha float64, a []float64, lda int, b []float64, ld
 // gemmPacked is the five-loop BLIS-style kernel: B panels of KC×NC rows
 // are packed once and reused across all A blocks, A blocks of MC×KC are
 // packed with alpha folded in, and the packed micro-panels feed the
-// gemmMR×gemmNR register-tile kernel. The MC/KC/NC extents come from
-// the runtime BlockSizes (autotuned at analyze time, defaults
-// otherwise); the scratch arrays are dimensioned for the clamp
-// capacities, so any installed tiling fits. Packing scratch comes from
-// scratchPool, so steady-state calls do not allocate. fast swaps the
-// full-tile micro-kernel for the FastMath one.
+// gemmMR×gemmNR register-tile kernel. m and n must be multiples of
+// gemmMR and gemmNR; since the clamped MC and NC are too, every block
+// splits into whole micro-tiles. The MC/KC/NC extents come from the
+// runtime BlockSizes (autotuned at analyze time, defaults otherwise);
+// the scratch arrays are dimensioned for the clamp capacities, so any
+// installed tiling fits. Packing scratch comes from the scratch
+// freelist, so steady-state calls do not allocate. fast swaps the
+// micro-kernel for the FastMath one.
 func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int, fast bool) {
 	bt := Tiles()
 	s := getScratch()
@@ -106,24 +122,13 @@ func gemmPacked(m, n, k int, alpha float64, a []float64, lda int, b []float64, l
 				}
 				packA(mc, kc, alpha, a[ic*lda+pc:], lda, s.pa[:])
 				for jr := 0; jr < nc; jr += gemmNR {
-					nr := nc - jr
-					if nr > gemmNR {
-						nr = gemmNR
-					}
 					pbp := s.pb[jr*kc:]
 					for ir := 0; ir < mc; ir += gemmMR {
-						mr := mc - ir
-						if mr > gemmMR {
-							mr = gemmMR
-						}
 						cc := c[(ic+ir)*ldc+jc+jr:]
-						switch {
-						case mr == gemmMR && nr == gemmNR && fast:
+						if fast {
 							microKernel4x8Fast(kc, s.pa[ir*kc:], pbp, cc, ldc)
-						case mr == gemmMR && nr == gemmNR:
+						} else {
 							microKernel4x8(kc, s.pa[ir*kc:], pbp, cc, ldc)
-						default:
-							microKernelEdge(mr, nr, kc, s.pa[ir*kc:], pbp, cc, ldc)
 						}
 					}
 				}

@@ -84,25 +84,3 @@ func microKernel4x8Go(kc int, pa, pb []float64, c []float64, ldc int) {
 	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
 	c3[4], c3[5], c3[6], c3[7] = c34, c35, c36, c37
 }
-
-// microKernelEdge handles partial micro-tiles (mr ≤ gemmMR, nr ≤
-// gemmNR): it reads only the first mr lanes of each packed A column
-// and the first nr lanes of each packed B row, so the padding lanes of
-// edge micro-panels are never touched. Same ascending-k accumulation
-// and zero-skip as the full-tile kernels.
-func microKernelEdge(mr, nr, kc int, pa, pb []float64, c []float64, ldc int) {
-	for p := 0; p < kc; p++ {
-		ap := pa[gemmMR*p:]
-		bp := pb[gemmNR*p : gemmNR*p+nr]
-		for r := 0; r < mr; r++ {
-			a := ap[r]
-			if a == 0 {
-				continue
-			}
-			crow := c[r*ldc : r*ldc+nr]
-			for j, v := range bp {
-				crow[j] += a * v
-			}
-		}
-	}
-}

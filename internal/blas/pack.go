@@ -93,15 +93,15 @@ func (b BlockSizes) clamp() BlockSizes {
 }
 
 // Seed-path blocking constants (the original kernel's k/m blocking),
-// kept for the scalar fallback that handles matrices too small to be
-// worth packing.
+// kept for the row-AXPY kernel that handles operands too small to be
+// worth packing and the fringe of the packed path.
 const (
 	gemmMC = 64
 	gemmKC = 128
 )
 
 // packedGemmCutoff is the minimum m·n·k product for which the packing
-// overhead pays for itself; below it the seed scalar kernel wins.
+// overhead pays for itself; below it the row-AXPY kernel wins.
 const packedGemmCutoff = 8 * 1024
 
 // gemmScratch holds the packing buffers of one in-flight level-3 call.
@@ -158,17 +158,12 @@ func putScratch(s *gemmScratch) {
 // packA copies the mc×kc block at a (row-major, leading dimension lda)
 // into pa as column-major micro-panels of gemmMR rows, folding alpha
 // into the values: micro-panel ir holds rows [ir, ir+gemmMR) with
-// element (r, p) at pa[ir*kc + p*gemmMR + r]. A partial last
-// micro-panel (mc not a multiple of gemmMR) leaves its missing lanes
-// untouched; the edge micro-kernel never reads them.
+// element (r, p) at pa[ir*kc + p*gemmMR + r]. mc is a multiple of
+// gemmMR.
 func packA(mc, kc int, alpha float64, a []float64, lda int, pa []float64) {
 	for ir := 0; ir < mc; ir += gemmMR {
-		mr := mc - ir
-		if mr > gemmMR {
-			mr = gemmMR
-		}
 		dst := pa[ir*kc:]
-		for r := 0; r < mr; r++ {
+		for r := 0; r < gemmMR; r++ {
 			src := a[(ir+r)*lda : (ir+r)*lda+kc]
 			for p, v := range src {
 				dst[p*gemmMR+r] = alpha * v
@@ -180,18 +175,12 @@ func packA(mc, kc int, alpha float64, a []float64, lda int, pa []float64) {
 // packB copies the kc×nc block at b (row-major, leading dimension ldb)
 // into pb as row-major micro-panels of gemmNR columns: micro-panel jr
 // holds columns [jr, jr+gemmNR) with element (p, j) at
-// pb[jr*kc + p*gemmNR + j]. A partial last micro-panel leaves its
-// missing lanes untouched; the edge micro-kernel never reads them.
+// pb[jr*kc + p*gemmNR + j]. nc is a multiple of gemmNR.
 func packB(kc, nc int, b []float64, ldb int, pb []float64) {
 	for jr := 0; jr < nc; jr += gemmNR {
-		nr := nc - jr
-		if nr > gemmNR {
-			nr = gemmNR
-		}
 		dst := pb[jr*kc:]
 		for p := 0; p < kc; p++ {
-			src := b[p*ldb+jr : p*ldb+jr+nr]
-			copy(dst[p*gemmNR:p*gemmNR+nr], src)
+			copy(dst[p*gemmNR:p*gemmNR+gemmNR], b[p*ldb+jr:p*ldb+jr+gemmNR])
 		}
 	}
 }

@@ -444,3 +444,47 @@ func TestSolveManyEdgeCases(t *testing.T) {
 		t.Fatal("wrong-length rhs accepted")
 	}
 }
+
+// TestResidualNaN pins that the backward error is NaN whenever x, b or
+// the residual holds a NaN — including a NaN x entry in a column of A
+// with no entries, which never reaches A·x — so a poisoned solution
+// cannot pass a `berr <= tol` check.
+func TestResidualNaN(t *testing.T) {
+	a := sparse.FromDense([]float64{2, 0, 0, 0}, 2, 2, 0) // column 1 empty
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		x, b []float64
+	}{
+		{"x in empty column", []float64{1, nan}, []float64{2, 0}},
+		{"x in used column", []float64{nan, 1}, []float64{2, 0}},
+		{"b", []float64{1, 0}, []float64{2, nan}},
+	}
+	for _, c := range cases {
+		if got := Residual(a, c.x, c.b); !math.IsNaN(got) {
+			t.Errorf("%s: Residual = %g, want NaN", c.name, got)
+		}
+	}
+	if got := Residual(a, []float64{1, 0}, []float64{2, 0}); got != 0 {
+		t.Errorf("exact solution: Residual = %g, want 0", got)
+	}
+
+	rng := rand.New(rand.NewSource(306))
+	sys := randomSystem(30, 0.1, rng)
+	f, err := Factorize(sys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, 30)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	b[7] = nan
+	_, berr, _, err := f.SolveRefinedWith(sys, b, 5, 1e-12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(berr) {
+		t.Fatalf("refined solve of a NaN right-hand side reports backward error %g, want NaN", berr)
+	}
+}

@@ -340,31 +340,38 @@ func (f *Factorization) bwdPanelStep(k int, y []float64, nrhs int) {
 }
 
 // Residual returns ‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞), the standard
-// scaled backward-error estimate, for the original system.
+// scaled backward-error estimate, for the original system. It is NaN
+// when x, b or the residual holds a NaN, so no tolerance test can
+// accept a poisoned solution.
 func Residual(a *sparse.CSC, x, b []float64) float64 {
 	r := make([]float64, len(b))
 	a.MulVec(x, r)
-	num := 0.0
 	for i := range r {
-		if d := math.Abs(r[i] - b[i]); d > num {
-			num = d
-		}
+		r[i] -= b[i]
 	}
-	xinf := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > xinf {
-			xinf = a
-		}
-	}
-	binf := 0.0
-	for _, v := range b {
-		if a := math.Abs(v); a > binf {
-			binf = a
-		}
+	num, xinf, binf := normInfNaN(r), normInfNaN(x), normInfNaN(b)
+	if math.IsNaN(num) || math.IsNaN(xinf) || math.IsNaN(binf) {
+		return math.NaN()
 	}
 	den := a.NormInf()*xinf + binf
 	if den == 0 {
 		return num
 	}
 	return num / den
+}
+
+// normInfNaN returns max|v[i]|, or NaN when v holds a NaN (a plain
+// running maximum with > would skip it).
+func normInfNaN(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		a := math.Abs(x)
+		if math.IsNaN(a) {
+			return a
+		}
+		if a > m {
+			m = a
+		}
+	}
+	return m
 }

@@ -166,12 +166,12 @@ func (e *asyncEngine) stopped() bool {
 //
 // claimed threads the trace clock through back-to-back executions: a
 // task claimed while the worker never stopped working (a handoff, or a
-// pop straight after a completion) starts its span at the previous
-// task's stamped end, so the worker's continuous busy period is
-// accounted continuously — the release/claim bookkeeping between two
-// tasks lands in the next span instead of an artificial idle gap. A
-// claim that followed a steal search or a park starts fresh: that time
-// really was idle and must not be charged to the task.
+// pop straight after a completion) starts its span at the stamp the
+// previous execution took after releasing its successors, so the claim
+// bookkeeping between two tasks lands in the next span instead of an
+// artificial idle gap. A claim that followed a steal search or a park
+// starts fresh: that time really was idle and must not be charged to
+// the task.
 func (e *asyncEngine) work(p int) {
 	d := &e.deques[p]
 	claimed := int64(-1)
@@ -195,9 +195,14 @@ func (e *asyncEngine) work(p int) {
 
 // execute runs one claimed task: trace it, publish the first failure,
 // release its successors, and return the handoff task (the first
-// successor this completion made ready) or -1, along with the stamped
-// end of this task's trace span (-1 when untraced) for the next claim
-// to start from.
+// successor this completion made ready) or -1, along with the trace
+// stamp (-1 when untraced) the next claim starts from: the end of this
+// task's span, or, when it released successors, a stamp taken after
+// the release. A released successor must not start before its other
+// predecessors ended. Each of them stamps its end before decrementing
+// the counters, and the last decrement precedes the post-release
+// stamp, so a span starting there cannot overlap any of them. Only
+// the few atomic decrements of the release fall between two spans.
 func (e *asyncEngine) execute(p, id int, claimed int64) (int32, int64) {
 	var err error
 	end := int64(-1)
@@ -251,6 +256,9 @@ func (e *asyncEngine) execute(p, id int, claimed int64) (int32, int64) {
 				pushed = true
 			}
 		}
+	}
+	if e.rec != nil && next >= 0 {
+		end = e.rec.Now()
 	}
 	if e.remaining.Add(-1) == 0 {
 		e.wakeAll()

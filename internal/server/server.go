@@ -493,10 +493,16 @@ func decodeBody(r *http.Request, v any) *httpError {
 	return nil
 }
 
-// checkFinite guards solve outputs: a NaN/Inf in x means the inputs
-// were poisoned (the factors are finite by construction), and the
-// answer is the non-finite class, not a silently wrong vector.
-func checkFinite(x []float64) error {
+// checkFinite guards solve outputs before they are encoded: a NaN/Inf
+// in x means the inputs were poisoned (the factors are finite by
+// construction), and the answer is the non-finite class, not a silently
+// wrong vector. The reported backward error is checked too — it is NaN
+// for a poisoned x or b and may overflow — since JSON cannot encode
+// either.
+func checkFinite(x []float64, residual float64) error {
+	if math.IsNaN(residual) || math.IsInf(residual, 0) {
+		return fmt.Errorf("server: non-finite backward error: %w", core.ErrNonFinite)
+	}
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("server: non-finite entry in solution: %w", core.ErrNonFinite)
@@ -707,7 +713,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 			if err != nil {
 				return s.mapError(err)
 			}
-			if err := checkFinite(x); err != nil {
+			if err := checkFinite(x, berr); err != nil {
 				return s.mapError(err)
 			}
 			xs[i] = x
@@ -732,11 +738,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 		if err != nil {
 			return s.mapError(err)
 		}
-		if err := checkFinite(x); err != nil {
+		res := core.Residual(h.m, x, req.B)
+		if err := checkFinite(x, res); err != nil {
 			return s.mapError(err)
 		}
-		resp.X = x
-		resp.Residual = core.Residual(h.m, x, req.B)
+		resp.X, resp.Residual = x, res
 	default:
 		nopts := s.numOpts(cc)
 		xs, err := h.res.f.SolveManyWith(bs, &nopts)
@@ -746,10 +752,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, fault fault
 		resp.XS = xs
 		resp.Residuals = make([]float64, len(xs))
 		for i, x := range xs {
-			if err := checkFinite(x); err != nil {
+			res := core.Residual(h.m, x, bs[i])
+			if err := checkFinite(x, res); err != nil {
 				return s.mapError(err)
 			}
-			resp.Residuals[i] = core.Residual(h.m, x, bs[i])
+			resp.Residuals[i] = res
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -648,3 +648,36 @@ func TestReanalyzeDeltaOnNearPattern(t *testing.T) {
 		}
 	}
 }
+
+// TestPoisonedSolvesAreNonFinite poisons one solve on each path that
+// reports a backward error — refined, batched single, multi-RHS — and
+// checks each answers 422/non_finite instead of encoding a NaN, with a
+// clean solve of the same kind succeeding right after.
+func TestPoisonedSolvesAreNonFinite(t *testing.T) {
+	plan, err := faultinject.ParseRequestPlan("2:nan,4:nan,6:nan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Faults: plan})
+	m := testMatrix()
+	fr := factorizeOK(t, ts, m, "") // request 1
+	b := make([]float64, m.NCols)
+	for i := range b {
+		b[i] = 1
+	}
+	for _, req := range []solveRequest{
+		{FID: fr.FID, B: b, Refine: true},
+		{FID: fr.FID, B: b},
+		{FID: fr.FID, BS: [][]float64{b, b}},
+	} {
+		status, body := post(t, ts, "/v1/solve", req, nil)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), `"non_finite"`) {
+			t.Fatalf("poisoned solve (refine=%v, %d rhs): status %d, body %s", req.Refine, len(req.BS), status, body)
+		}
+		var sr solveResponse
+		status, body = post(t, ts, "/v1/solve", req, &sr)
+		if status != http.StatusOK {
+			t.Fatalf("clean solve (refine=%v, %d rhs): status %d, body %s", req.Refine, len(req.BS), status, body)
+		}
+	}
+}
